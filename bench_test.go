@@ -437,20 +437,32 @@ func BenchmarkScaleAlienation(b *testing.B) {
 // at different iteration caps, and with the scratch buffers reused
 // across iterations their allocs/op must match — an alloc count that
 // grows with the cap means a per-iteration allocation crept back in.
+// The rank/ variants repeat the pair with the RankImage method, whose
+// 7,140 pairs take the radix rank-image path and its per-descent
+// scratch; a rank-image descent stops at its first stress rise, so the
+// iterations metric records how far the capped run really went.
 func BenchmarkScaleSmacof(b *testing.B) {
 	d := core.CityBlock(kernelMatrix(120, 9, 17))
-	for _, iters := range []int{10, 200} {
-		b.Run(fmt.Sprintf("iters=%d", iters), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, err := mds.SSA(d, mds.Options{
-					Seed: 3, Restarts: -1, Method: mds.Monotone,
-					Tol: 1e-300, MaxIter: iters,
-				})
-				if err != nil {
-					b.Fatal(err)
+	for _, c := range []struct {
+		prefix string
+		method mds.DisparityMethod
+	}{{"", mds.Monotone}, {"rank/", mds.RankImage}} {
+		for _, iters := range []int{10, 200} {
+			b.Run(fmt.Sprintf("%siters=%d", c.prefix, iters), func(b *testing.B) {
+				b.ReportAllocs()
+				var res mds.Result
+				for i := 0; i < b.N; i++ {
+					var err error
+					res, err = mds.SSA(d, mds.Options{
+						Seed: 3, Restarts: -1, Method: c.method,
+						Tol: 1e-300, MaxIter: iters,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+				b.ReportMetric(float64(res.Iterations), "iterations")
+			})
+		}
 	}
 }

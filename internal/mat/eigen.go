@@ -10,13 +10,22 @@ import (
 // the cyclic Jacobi rotation method. It returns the eigenvalues in
 // descending order and the matching unit eigenvectors as the columns of the
 // returned matrix. EigenSym returns an error if a is not symmetric or the
-// sweep limit is exhausted before convergence.
+// sweep limit is exhausted before convergence. a is not modified.
 func EigenSym(a *Matrix) (values []float64, vectors *Matrix, err error) {
-	if !a.IsSymmetric(1e-9) {
+	return EigenSymInPlace(a.Clone())
+}
+
+// EigenSymInPlace is EigenSym running the Jacobi rotations on w itself
+// instead of on a copy, then reusing w's storage for the returned
+// eigenvectors: on success vectors is w. Values and vectors are
+// bit-identical to EigenSym(w). Callers that own a scratch matrix
+// (classical scaling) use it to skip two n×n allocations. On error w
+// holds a partially rotated matrix.
+func EigenSymInPlace(w *Matrix) (values []float64, vectors *Matrix, err error) {
+	if !w.IsSymmetric(1e-9) {
 		return nil, nil, fmt.Errorf("mat: EigenSym requires a symmetric matrix")
 	}
-	n := a.Rows
-	w := a.Clone()
+	n := w.Rows
 	v := Identity(n)
 
 	const maxSweeps = 100
@@ -90,7 +99,9 @@ func extractEigen(w, v *Matrix) ([]float64, *Matrix, error) {
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].val > pairs[j].val })
 	values := make([]float64, n)
-	vectors := New(n, n)
+	// The diagonal has been read into pairs and the rotated working
+	// matrix is spent, so its storage takes the sorted eigenvectors.
+	vectors := w
 	for col, p := range pairs {
 		values[col] = p.val
 		for row := 0; row < n; row++ {

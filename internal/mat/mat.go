@@ -149,8 +149,17 @@ func (m *Matrix) IsSymmetric(tol float64) bool {
 
 // DoubleCenter applies the centering operator B = -1/2 * J * D2 * J, where
 // J = I - 11'/n, to a matrix of squared dissimilarities. This is the first
-// step of Torgerson's classical scaling.
+// step of Torgerson's classical scaling. d2 is not modified.
 func DoubleCenter(d2 *Matrix) *Matrix {
+	b := d2.Clone()
+	DoubleCenterInPlace(b)
+	return b
+}
+
+// DoubleCenterInPlace is DoubleCenter overwriting d2 with B: every
+// entry is computed from the row, column and grand means of the
+// original d2, so the result is bit-identical to DoubleCenter(d2).
+func DoubleCenterInPlace(d2 *Matrix) {
 	if d2.Rows != d2.Cols {
 		panic("mat: DoubleCenter needs a square matrix")
 	}
@@ -171,13 +180,11 @@ func DoubleCenter(d2 *Matrix) *Matrix {
 		colMean[i] /= float64(n)
 	}
 	total /= float64(n * n)
-	b := New(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			b.Set(i, j, -0.5*(d2.At(i, j)-rowMean[i]-colMean[j]+total))
+			d2.Set(i, j, -0.5*(d2.At(i, j)-rowMean[i]-colMean[j]+total))
 		}
 	}
-	return b
 }
 
 // Solve solves the linear system A x = b by Gaussian elimination with

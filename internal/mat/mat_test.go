@@ -263,6 +263,86 @@ func TestEigenSymRejectsAsymmetric(t *testing.T) {
 	}
 }
 
+// sameBits reports whether two matrices agree bit for bit.
+func sameBits(a, b *Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := range a.Data {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// EigenSym must leave its argument untouched, and the in-place solve
+// that classical scaling runs on its own scratch must return the same
+// bits, values and vectors alike, in the argument's storage.
+func TestEigenSymInPlaceMatchesEigenSym(t *testing.T) {
+	r := rng.New(8)
+	n := 30
+	a := New(n, n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			v := r.Norm()
+			a.Set(i, j, v)
+			a.Set(j, i, v)
+		}
+	}
+	orig := a.Clone()
+	vals, vecs, err := EigenSym(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(a, orig) {
+		t.Fatal("EigenSym modified its argument")
+	}
+	w := a.Clone()
+	ivals, ivecs, err := EigenSymInPlace(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range vals {
+		if math.Float64bits(vals[k]) != math.Float64bits(ivals[k]) {
+			t.Fatalf("value %d: in-place %v, EigenSym %v", k, ivals[k], vals[k])
+		}
+	}
+	if !sameBits(vecs, ivecs) {
+		t.Fatal("in-place eigenvectors differ from EigenSym's")
+	}
+	if ivecs != w {
+		t.Fatal("EigenSymInPlace did not reuse its argument for the vectors")
+	}
+	if _, _, err := EigenSymInPlace(FromRows([][]float64{{1, 2}, {3, 4}})); err == nil {
+		t.Fatal("expected error for asymmetric input")
+	}
+}
+
+// DoubleCenter must leave its argument untouched and agree bit for bit
+// with the in-place form.
+func TestDoubleCenterInPlaceMatchesDoubleCenter(t *testing.T) {
+	r := rng.New(9)
+	n := 11
+	d2 := New(n, n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v := math.Abs(r.Norm()) + 0.1
+			d2.Set(i, j, v*v)
+			d2.Set(j, i, v*v)
+		}
+	}
+	orig := d2.Clone()
+	b := DoubleCenter(d2)
+	if !sameBits(d2, orig) {
+		t.Fatal("DoubleCenter modified its argument")
+	}
+	DoubleCenterInPlace(d2)
+	if !sameBits(d2, b) {
+		t.Fatal("DoubleCenterInPlace differs from DoubleCenter")
+	}
+}
+
 func TestDoubleCenterRowColSumsZero(t *testing.T) {
 	r := rng.New(5)
 	n := 7

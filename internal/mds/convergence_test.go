@@ -146,25 +146,50 @@ func asDegenerate(err error, target **DegenerateInputError) bool {
 
 // TestSmacofAllocsIterationInvariant asserts the scratch-reuse
 // contract: the SMACOF iteration loop allocates nothing, so a solve's
-// allocations must not grow with its iteration count. Monotone is the
-// interesting method — it used to allocate the implicit unit-weight
-// slice plus three block buffers per iteration inside PAVA, on top of
-// the per-iteration Guttman diagonal.
+// allocations must not grow with its iteration count. Monotone used to
+// allocate the implicit unit-weight slice plus three block buffers per
+// iteration inside PAVA, on top of the per-iteration Guttman diagonal.
+// The RankImage case sits above radixMinPairs, so its radix ping-pong
+// buffer must be allocated once per descent, not once per iteration.
+// Rank-image descents halt on the first stress rise even at Tol 1e-300,
+// so the case pins that the long run really iterated.
 func TestSmacofAllocsIterationInvariant(t *testing.T) {
-	d := planarDissim(30, 7)
-	run := func(maxIter int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			// Tol below float resolution: the loop always runs to MaxIter.
-			_, err := SSA(d, Options{Seed: 3, Restarts: -1, Method: Monotone, MaxIter: maxIter, Tol: 1e-300})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
+	cases := []struct {
+		name      string
+		d         *mat.Matrix
+		method    DisparityMethod
+		few, many int
+		minIters  int // iterations the many-run must reach
+	}{
+		{"monotone", planarDissim(30, 7), Monotone, 10, 200, 150},
+		{"rank-radix", testCityBlockDissim(t, 60, 3), RankImage, 3, 200, 30},
 	}
-	few, many := run(10), run(200)
-	// Identical modulo noise: 190 extra iterations may not cost even
-	// one extra allocation on average.
-	if many > few+5 {
-		t.Fatalf("allocations scale with iterations: %v allocs at 10 iters, %v at 200", few, many)
+	for _, c := range cases {
+		if c.method == RankImage && c.d.Rows*(c.d.Rows-1)/2 < radixMinPairs {
+			t.Fatalf("%s: %d pairs is below the radix cutoff", c.name, c.d.Rows*(c.d.Rows-1)/2)
+		}
+		var iters int
+		run := func(maxIter int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				// Tol below float resolution: only MaxIter or a stress
+				// rise stops the loop.
+				res, err := SSA(c.d, Options{Seed: 3, Restarts: -1, Method: c.method, MaxIter: maxIter, Tol: 1e-300})
+				if err != nil {
+					t.Fatal(err)
+				}
+				iters = res.Iterations
+			})
+		}
+		few := run(c.few)
+		many := run(c.many)
+		if iters < c.minIters {
+			t.Fatalf("%s: long run stopped after %d iterations, want >= %d", c.name, iters, c.minIters)
+		}
+		// Identical modulo noise: the extra iterations may not cost
+		// even one extra allocation on average.
+		if many > few+5 {
+			t.Fatalf("%s: allocations scale with iterations: %v allocs at %d iters, %v at %d",
+				c.name, few, c.few, many, iters)
+		}
 	}
 }

@@ -96,9 +96,10 @@ type Options struct {
 	// Par is the shared worker budget (see internal/par) for the
 	// multi-start fan-out and the blocked distance loops. Nil runs the
 	// solver serially. Any budget produces byte-identical results: all
-	// start configurations are drawn from one serial RNG stream before
-	// the fan-out, and the winner is selected by the explicit
-	// (alienation, start index) order.
+	// random restarts are drawn from one serial RNG stream before the
+	// fan-out (start 0 needs no random state and is computed inside
+	// it), and the winner is selected by the explicit (alienation,
+	// start index) order.
 	Par *par.Budget
 
 	// Trace, when non-nil, observes every SMACOF iteration of every
@@ -206,15 +207,18 @@ func Classical(d *mat.Matrix, dims int) (*mat.Matrix, error) {
 		return nil, err
 	}
 	n := d.Rows
-	d2 := mat.New(n, n)
+	// One n×n temporary carries the squared dissimilarities, their
+	// double-centering, the Jacobi rotations and finally the sorted
+	// eigenvectors: Classical owns it, so every step works in place.
+	b := mat.New(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			v := d.At(i, j)
-			d2.Set(i, j, v*v)
+			b.Set(i, j, v*v)
 		}
 	}
-	b := mat.DoubleCenter(d2)
-	vals, vecs, err := mat.EigenSym(b)
+	mat.DoubleCenterInPlace(b)
+	vals, vecs, err := mat.EigenSymInPlace(b)
 	if err != nil {
 		return nil, err
 	}
@@ -283,60 +287,47 @@ func SSAContext(ctx context.Context, d *mat.Matrix, opts Options) (Result, error
 func ssaMulti(ctx context.Context, d *mat.Matrix, diss []pair, opts Options) (Result, error) {
 	n := d.Rows
 
-	// Generate every start configuration up front from one serial RNG
-	// stream, so the fan-out below is free to run them in any order.
-	type startConfig struct {
-		idx int // 0 = classical scaling, then the random restarts
-		x0  *mat.Matrix
+	if ic := opts.InitialConfig; ic != nil && (ic.Rows != n || ic.Cols != opts.Dims) {
+		return Result{}, fmt.Errorf("mds: initial config is %dx%d, want %dx%d",
+			ic.Rows, ic.Cols, n, opts.Dims)
 	}
-	starts := make([]startConfig, 0, opts.Restarts+1)
-	var classicalErr error
-	if opts.InitialConfig != nil {
-		if opts.InitialConfig.Rows != n || opts.InitialConfig.Cols != opts.Dims {
-			return Result{}, fmt.Errorf("mds: initial config is %dx%d, want %dx%d",
-				opts.InitialConfig.Rows, opts.InitialConfig.Cols, n, opts.Dims)
-		}
-		// Center the seed and re-anchor its scale to the dissimilarities.
-		// Stress-1 and the rank image are scale-invariant, so the rescale
-		// never worsens the seed's fit — but without it a chain of warm
-		// solves has no scale anchor at all (cold solves inherit theirs
-		// from classical scaling) and the slow contraction of the Guttman
-		// transform compounds across the chain into a collapsed, falsely
-		// perfect configuration. A seed with no extent left carries no
-		// shape to warm-start from; fall back to classical scaling then.
-		x0 := opts.InitialConfig.Clone()
-		center(x0)
-		if ScaleToDissim(x0, d) {
-			starts = append(starts, startConfig{idx: 0, x0: x0})
-		} else if xc, err := Classical(d, opts.Dims); err == nil {
-			starts = append(starts, startConfig{idx: 0, x0: xc})
-		} else {
-			classicalErr = err
-		}
-	} else if x0, err := Classical(d, opts.Dims); err == nil {
-		starts = append(starts, startConfig{idx: 0, x0: x0})
-	} else {
-		classicalErr = err
-	}
+
+	// Draw every random restart up front from one serial RNG stream, so
+	// the fan-out below is free to run them in any order. Start 0 (the
+	// Torgerson or warm seed) depends on no RNG state, so its O(n³)
+	// Jacobi solve runs inside the fan-out, overlapping the restarts.
 	r := rng.New(opts.Seed ^ 0x535341) // "SSA"
-	for k := 0; k < opts.Restarts; k++ {
+	restarts := make([]*mat.Matrix, opts.Restarts)
+	for k := range restarts {
 		xr := mat.New(n, opts.Dims)
 		for i := range xr.Data {
 			xr.Data[i] = r.Norm()
 		}
-		starts = append(starts, startConfig{idx: k + 1, x0: xr})
+		restarts[k] = xr
 	}
 
 	budget := opts.Par
 	if opts.Trace != nil {
 		budget = nil // keep the observed (start, iter) stream totally ordered
 	}
-	results := make([]Result, len(starts))
-	errs := make([]error, len(starts))
-	_ = par.ForEach(ctx, budget, len(starts), func(si int) error {
-		res, err := ssaFrom(ctx, d, diss, starts[si].x0, starts[si].idx, opts)
+	results := make([]Result, len(restarts)+1)
+	errs := make([]error, len(restarts)+1)
+	_ = par.ForEach(ctx, budget, len(results), func(si int) error {
+		// A failed start never cancels its siblings; its error is kept
+		// in start order, so a classical-scaling failure reports first.
+		var x0 *mat.Matrix
+		if si == 0 {
+			var err error
+			if x0, err = firstStart(d, opts); err != nil {
+				errs[0] = err
+				return nil
+			}
+		} else {
+			x0 = restarts[si-1]
+		}
+		res, err := ssaFrom(ctx, d, diss, x0, si, opts)
 		if err != nil {
-			errs[si] = err // a failed start never cancels its siblings
+			errs[si] = err
 			return nil
 		}
 		results[si] = res
@@ -347,8 +338,8 @@ func ssaMulti(ctx context.Context, d *mat.Matrix, diss []pair, opts Options) (Re
 	}
 
 	best := Result{Alienation: math.Inf(1), Start: -1}
-	firstErr := classicalErr
-	for si := range starts {
+	var firstErr error
+	for si := range results {
 		if errs[si] != nil {
 			if firstErr == nil {
 				firstErr = errs[si]
@@ -363,6 +354,28 @@ func ssaMulti(ctx context.Context, d *mat.Matrix, diss []pair, opts Options) (Re
 		return Result{}, fmt.Errorf("mds: no restart converged: %w", firstErr)
 	}
 	return best, nil
+}
+
+// firstStart returns start 0's configuration: the warm seed centered
+// and rescaled to the dissimilarities when opts.InitialConfig is set
+// and has extent, Torgerson classical scaling otherwise. A seed with no
+// extent left carries no shape to warm-start from, so it falls back to
+// classical scaling too.
+func firstStart(d *mat.Matrix, opts Options) (*mat.Matrix, error) {
+	if opts.InitialConfig != nil {
+		// Stress-1 and the rank image are scale-invariant, so the
+		// rescale never worsens the seed's fit — but without it a chain
+		// of warm solves has no scale anchor at all (cold solves inherit
+		// theirs from classical scaling) and the slow contraction of the
+		// Guttman transform compounds across the chain into a collapsed,
+		// falsely perfect configuration.
+		x0 := opts.InitialConfig.Clone()
+		center(x0)
+		if ScaleToDissim(x0, d) {
+			return x0, nil
+		}
+	}
+	return Classical(d, opts.Dims)
 }
 
 // ScaleToDissim scales x in place so the sum of its squared pairwise
@@ -446,6 +459,9 @@ func ssaFrom(ctx context.Context, d *mat.Matrix, diss []pair, x0 *mat.Matrix, st
 	// solve cost scales with arithmetic, not with GC pressure (the
 	// bench suite asserts allocs/op is independent of MaxIter).
 	scratch := smacofScratch{diag: make([]float64, n)}
+	if opts.Method == RankImage && m >= radixMinPairs {
+		scratch.rank = make([]float64, m)
+	}
 
 	// The distance loop is the per-iteration hot spot: embarrassingly
 	// parallel over pair ranges, so block it on the budget. Small pair
@@ -471,8 +487,7 @@ func ssaFrom(ctx context.Context, d *mat.Matrix, diss []pair, x0 *mat.Matrix, st
 	computeDisparities := func() error {
 		switch opts.Method {
 		case RankImage:
-			copy(disp, dist)
-			sort.Float64s(disp) // k-th smallest distance ↔ k-th smallest dissimilarity
+			sortRankImage(disp, dist, scratch.rank) // k-th smallest distance ↔ k-th smallest dissimilarity
 		case Monotone:
 			scratch.pava.Fit(disp, dist, nil)
 			// Rescale so Σ disp² = Σ dist² (keeps the configuration size).
@@ -606,11 +621,13 @@ func ssaFrom(ctx context.Context, d *mat.Matrix, diss []pair, x0 *mat.Matrix, st
 }
 
 // smacofScratch holds the buffers one SMACOF descent reuses across
-// iterations — the Guttman-transform diagonal and the PAVA block
-// buffers — so the iteration loop performs no heap allocation.
+// iterations — the Guttman-transform diagonal, the PAVA block buffers
+// and the rank-image radix ping-pong buffer — so the iteration loop
+// performs no heap allocation.
 type smacofScratch struct {
 	diag []float64
 	pava stats.PAVAScratch
+	rank []float64 // len m when the rank image takes the radix path
 }
 
 // doSmacof writes the Guttman-transform update of x into xNew:

@@ -77,3 +77,43 @@ func TestSSABlockedDistancesMatchSerial(t *testing.T) {
 	}
 	sameResult(t, serial, got, "blocked distances")
 }
+
+// The same contract at a realistic corpus size: n=200 gives 19,900
+// pairs, above both radixMinPairs and minPairsPerBlock, so the radix
+// rank image, the blocked distance loop and the Torgerson start running
+// inside the fan-out are all exercised. A traced solve runs its starts
+// serially, so the first callback still comes from start 0.
+func TestSSAParallelMatchesSerialLarge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large matrix")
+	}
+	d := testCityBlockDissim(t, 200, 3)
+	opts := Options{Seed: 7, Restarts: 3, Method: RankImage}
+	serial, err := SSA(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		opts.Par = par.NewBudget(workers)
+		got, err := SSA(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, serial, got, fmt.Sprintf("n=200 workers %d", workers))
+	}
+
+	first := -1
+	opts.Trace = func(start, iter int, stress float64) {
+		if first < 0 {
+			first = start
+		}
+	}
+	got, err := SSA(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, serial, got, "n=200 traced")
+	if first != 0 {
+		t.Fatalf("first traced start = %d, want 0", first)
+	}
+}
