@@ -11,14 +11,13 @@
 //
 //	coplot -procs 128 a.swf b.swf c.swf ...
 //
-// SWF logs are parsed and characterized in parallel; -jobs bounds the
-// workers and -timeout caps the per-file time, and the same budget
-// drives the analysis kernels (the SSA multi-start fan-out and the
-// dissimilarity row blocks). The resulting dataset and map are
-// identical at any -jobs setting. -retries re-attempts a failing file
-// with deterministic backoff, -task-timeout bounds each attempt, and
-// -keep-going drops unreadable logs (with a warning and a non-zero
-// exit) instead of aborting, as long as at least 3 logs survive.
+// SWF logs are parsed and characterized in parallel on one -jobs
+// budget, which then drives the analysis kernels (the SSA multi-start
+// fan-out and the dissimilarity row blocks); -timeout caps the time
+// per file. The resulting dataset and map are identical at any -jobs
+// setting. -keep-going drops unreadable logs (with a warning and a
+// non-zero exit) instead of aborting, as long as at least 3 logs
+// survive.
 //
 // -landmarks N embeds a sample of N observations exactly and places
 // the rest against it (landmark MDS) when the dataset is larger than
@@ -46,7 +45,6 @@ import (
 	"time"
 
 	"coplot/internal/core"
-	"coplot/internal/engine"
 	"coplot/internal/machine"
 	"coplot/internal/mds"
 	"coplot/internal/obs"
@@ -63,14 +61,11 @@ func main() {
 
 // loadOptions carries the SWF fan-out settings from the flags.
 type loadOptions struct {
-	procs          int
-	jobs           int
-	timeout        time.Duration
-	attemptTimeout time.Duration
-	retries        int
-	backoff        time.Duration
-	keepGoing      bool
-	sink           obs.Sink
+	procs     int
+	timeout   time.Duration
+	keepGoing bool
+	sink      obs.Sink
+	budget    *par.Budget // file workers, sized by -jobs
 }
 
 // realMain runs the CLI and returns its exit code, so deferred
@@ -85,10 +80,7 @@ func realMain() int {
 	landmarks := flag.Int("landmarks", 0, "landmark count: analyses over more observations use landmark MDS (0 = always solve exactly)")
 	procs := flag.Int("procs", 128, "machine size for SWF inputs")
 	jobs := flag.Int("jobs", 0, "worker budget: SWF files loaded concurrently and analysis kernel workers (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "per-file parse/characterize time limit across all attempts (0 = none)")
-	retries := flag.Int("retries", 0, "retry a failing file up to N more times (0 = fail on first error)")
-	backoff := flag.Duration("backoff", 0, "base delay before the first retry, doubling per retry (0 = engine default)")
-	taskTimeout := flag.Duration("task-timeout", 0, "per-attempt time limit; a timed-out attempt is retried under -retries (0 = none)")
+	timeout := flag.Duration("timeout", 0, "per-file parse/characterize time limit (0 = none)")
 	keepGoing := flag.Bool("keep-going", false, "drop unreadable logs (warning + non-zero exit) instead of aborting; needs >=3 surviving logs")
 	cacheDir := flag.String("cache-dir", "", "durable report cache directory; the rendered map report is reused across invocations over unchanged inputs")
 	cacheTier := flag.String("cache-tier", "", "cache backend: memory, disk, or tiered (empty = tiered when -cache-dir is set, memory otherwise)")
@@ -142,12 +134,14 @@ func realMain() int {
 		}
 	}
 
+	// One budget for the run: the file fan-out, then the analysis
+	// kernels (SSA multi-starts, dissimilarity rows).
+	budget := par.NewBudget(*jobs)
 	lopts := loadOptions{
-		procs: *procs, jobs: *jobs, timeout: *timeout, attemptTimeout: *taskTimeout,
-		retries: *retries, backoff: *backoff, keepGoing: *keepGoing,
-		sink: obs.Multi(sinks...),
+		procs: *procs, timeout: *timeout, keepGoing: *keepGoing,
+		sink: obs.Multi(sinks...), budget: budget,
 	}
-	ds, err := loadDataset(*csvPath, flag.Args(), lopts)
+	ds, dropped, err := loadDataset(*csvPath, flag.Args(), lopts)
 	if *manifestPath != "" {
 		m := metrics.Manifest(obs.RunInfo{Tool: "coplot", Seed: *seed, Jobs: *jobs, Timeout: *timeout})
 		if werr := m.WriteFile(*manifestPath); werr != nil {
@@ -155,17 +149,15 @@ func realMain() int {
 			return 1
 		}
 	}
-	exit := 0
-	var deg *engine.DegradedError
-	if errors.As(err, &deg) && ds != nil {
-		// Keep-going: analyze the surviving logs, but exit non-zero.
-		for i, name := range deg.Failed {
-			fmt.Fprintf(os.Stderr, "coplot: dropped %s: %v\n", name, deg.Errs[i])
-		}
-		exit = 1
-	} else if err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "coplot:", err)
 		return 1
+	}
+	exit := 0
+	for _, d := range dropped {
+		// Keep-going: analyze the surviving logs, but exit non-zero.
+		fmt.Fprintln(os.Stderr, "coplot: dropped", d)
+		exit = 1
 	}
 	if *vars != "" {
 		ds, err = ds.Select(strings.Split(*vars, ","))
@@ -175,9 +167,7 @@ func realMain() int {
 		}
 	}
 	res, err := core.Analyze(ds, core.Options{
-		// The same -jobs budget that bounded the file fan-out drives
-		// the analysis kernels (SSA multi-starts, dissimilarity rows).
-		MDS:            mds.Options{Seed: *seed, Par: par.NewBudget(*jobs), Landmarks: *landmarks},
+		MDS:            mds.Options{Seed: *seed, Par: budget, Landmarks: *landmarks},
 		PruneThreshold: *prune,
 	})
 	if err != nil {
@@ -249,16 +239,20 @@ func cacheKeyFor(csvPath string, swfPaths []string, prune float64, vars string, 
 	return store.Key("coplot-cli", opts, blobs...), true
 }
 
-func loadDataset(csvPath string, swfPaths []string, opts loadOptions) (*core.Dataset, error) {
+// loadDataset builds the dataset from a CSV matrix or from SWF logs.
+// dropped lists the logs a keep-going load left out, each error
+// labelled with its path.
+func loadDataset(csvPath string, swfPaths []string, opts loadOptions) (ds *core.Dataset, dropped []error, err error) {
 	switch {
 	case csvPath != "" && len(swfPaths) > 0:
-		return nil, fmt.Errorf("choose either -csv or SWF files, not both")
+		return nil, nil, fmt.Errorf("choose either -csv or SWF files, not both")
 	case csvPath != "":
-		return loadCSV(csvPath)
+		ds, err = loadCSV(csvPath)
+		return ds, nil, err
 	case len(swfPaths) >= 3:
 		return loadSWF(swfPaths, opts)
 	}
-	return nil, fmt.Errorf("need -csv FILE or at least 3 SWF logs")
+	return nil, nil, fmt.Errorf("need -csv FILE or at least 3 SWF logs")
 }
 
 // loadCSV parses a CSV data matrix through the shared serving-layer
@@ -273,50 +267,57 @@ func loadCSV(path string) (*core.Dataset, error) {
 	return service.ParseCSVDataset(path, f)
 }
 
-func loadSWF(paths []string, lopts loadOptions) (*core.Dataset, error) {
+// loadSWF parses and characterizes each log on the budget, keeping the
+// rows in argument order. Without lopts.keepGoing the first failure
+// stops the load; with it, failed logs are dropped as long as at least
+// 3 survive.
+func loadSWF(paths []string, lopts loadOptions) (*core.Dataset, []error, error) {
 	m := machine.Machine{Name: "cli", Procs: lopts.procs,
 		Scheduler: machine.SchedulerEASY, Allocator: machine.AllocatorUnlimited}
-	// Each file parses and characterizes independently; engine.Map keeps
-	// the rows in argument order regardless of completion order. The
-	// engine labels failures with the file path, so fn returns bare
-	// errors.
-	opts := engine.MapOptions{
-		Workers: lopts.jobs, Timeout: lopts.timeout, AttemptTimeout: lopts.attemptTimeout,
-		KeepGoing: lopts.keepGoing, Sink: lopts.sink,
-		Label: func(i int) string { return paths[i] },
-	}
-	if lopts.retries > 0 {
-		opts.Retry = engine.RetryPolicy{MaxAttempts: lopts.retries + 1, BaseBackoff: lopts.backoff}
-	}
-	itemErrs := make([]error, len(paths)) // index i written only by its worker
-	rows, err := engine.Map(context.Background(), len(paths), opts,
-		func(ctx context.Context, i int) (workload.Variables, error) {
-			row, err := loadOne(paths[i], m)
-			itemErrs[i] = err
-			return row, err
+	run := obs.StartFanOut(lopts.sink, min(lopts.budget.Size(), len(paths)))
+	rows := make([]workload.Variables, len(paths))
+	errs := make([]error, len(paths)) // index i written only by its worker
+	err := par.ForEach(context.Background(), lopts.budget, len(paths), func(i int) error {
+		errs[i] = run.Task(paths[i], func() (err error) {
+			ctx, cancel := context.Background(), context.CancelFunc(func() {})
+			if lopts.timeout > 0 {
+				ctx, cancel = context.WithTimeout(ctx, lopts.timeout)
+			}
+			defer cancel()
+			if rows[i], err = loadOne(paths[i], m); err == nil {
+				err = ctx.Err() // outlasting -timeout fails even if the load finished
+			}
+			return err
 		})
-	var deg *engine.DegradedError
-	if errors.As(err, &deg) {
-		// Keep-going: drop the failed logs and analyze the survivors,
-		// if enough remain to place on a map.
-		var kept []workload.Variables
-		for i, row := range rows {
-			if itemErrs[i] == nil {
-				kept = append(kept, row)
+		if errs[i] != nil {
+			errs[i] = fmt.Errorf("%s: %w", paths[i], errs[i])
+			if !lopts.keepGoing {
+				return errs[i]
 			}
 		}
-		if len(kept) < 3 {
-			return nil, fmt.Errorf("only %d of %d logs loaded, need at least 3: %w", len(kept), len(paths), deg)
+		return nil
+	})
+	if err != nil {
+		run.Finish(nil)
+		return nil, nil, err
+	}
+	var kept []workload.Variables
+	var dropped []error
+	var failed []string
+	for i, row := range rows {
+		if errs[i] != nil {
+			dropped = append(dropped, errs[i])
+			failed = append(failed, paths[i])
+			continue
 		}
-		rows = kept
-	} else if err != nil {
-		return nil, err
+		kept = append(kept, row)
 	}
-	ds, berr := service.DatasetFromVariables(rows)
-	if berr != nil {
-		return nil, berr
+	run.Finish(failed)
+	if len(kept) < 3 {
+		return nil, nil, fmt.Errorf("only %d of %d logs loaded, need at least 3: %w", len(kept), len(paths), errors.Join(dropped...))
 	}
-	return ds, err // err is nil or the *engine.DegradedError
+	ds, err := service.DatasetFromVariables(kept)
+	return ds, dropped, err
 }
 
 // loadOne parses and characterizes one SWF log.

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"coplot/internal/machine"
+	"coplot/internal/par"
 	"coplot/internal/service"
+	"coplot/internal/workload"
 )
 
 func writeFile(t *testing.T, name, content string) string {
@@ -53,7 +58,7 @@ func TestLoadSWFDataset(t *testing.T) {
 	for _, n := range []string{"a.swf", "b.swf", "c.swf"} {
 		paths = append(paths, writeFile(t, n, row))
 	}
-	ds, err := loadSWF(paths, loadOptions{procs: 128})
+	ds, _, err := loadSWF(paths, loadOptions{procs: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +69,7 @@ func TestLoadSWFDataset(t *testing.T) {
 		t.Fatalf("variables = %d", len(ds.Variables))
 	}
 	// Parallel loading returns the same dataset in the same order.
-	ds4, err := loadSWF(paths, loadOptions{procs: 128, jobs: 4})
+	ds4, _, err := loadSWF(paths, loadOptions{procs: 128, budget: par.NewBudget(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,20 +85,70 @@ func TestLoadSWFDataset(t *testing.T) {
 	}
 }
 
+// TestLoadSWFOrderedResults pins that the per-file fan-out returns rows in
+// argument order whatever order the workers finish in: each log differs,
+// so a row landing in another file's slot changes the dataset.
+func TestLoadSWFOrderedResults(t *testing.T) {
+	m := machine.Machine{Name: "cli", Procs: 128,
+		Scheduler: machine.SchedulerEASY, Allocator: machine.AllocatorUnlimited}
+	var paths []string
+	for i := 0; i < 12; i++ {
+		var b strings.Builder
+		// Larger logs take longer to load, scrambling completion order.
+		for j := 0; j < 3+(11-i)*20; j++ {
+			fmt.Fprintf(&b, "%d %d 0 %d %d -1 -1 %d -1 -1 1 1 1 1 1 -1 -1 -1\n",
+				j+1, j*(10+i), 50+i*j%97, 1+(i+j)%8, 1+(i+j)%8)
+		}
+		paths = append(paths, writeFile(t, fmt.Sprintf("log%02d.swf", i), b.String()))
+	}
+	// The reference is built from the logs loaded one by one, in order.
+	var rows []workload.Variables
+	for _, p := range paths {
+		row, err := loadOne(p, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
+	}
+	want, err := service.DatasetFromVariables(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jobs := range []int{1, 4} {
+		ds, _, err := loadSWF(paths, loadOptions{procs: 128, budget: par.NewBudget(jobs)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ds.X) != len(paths) {
+			t.Fatalf("jobs=%d: %d rows for %d logs", jobs, len(ds.X), len(paths))
+		}
+		for i := range paths {
+			if ds.Observations[i] != want.Observations[i] {
+				t.Fatalf("jobs=%d: row %d is %q, want %q", jobs, i, ds.Observations[i], want.Observations[i])
+			}
+			for j := range ds.X[i] {
+				if ds.X[i][j] != want.X[i][j] {
+					t.Fatalf("jobs=%d: cell (%d,%d) = %v, want %v", jobs, i, j, ds.X[i][j], want.X[i][j])
+				}
+			}
+		}
+	}
+}
+
 func TestLoadSWFMissingFile(t *testing.T) {
 	row := "1 0 0 100 4 -1 -1 4 -1 -1 1 1 1 1 1 -1 -1 -1\n"
 	paths := []string{writeFile(t, "a.swf", row), writeFile(t, "b.swf", row), "missing.swf"}
-	if _, err := loadSWF(paths, loadOptions{procs: 128, jobs: 2}); err == nil {
+	if _, _, err := loadSWF(paths, loadOptions{procs: 128, budget: par.NewBudget(2)}); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
 
 func TestLoadDatasetDispatch(t *testing.T) {
-	if _, err := loadDataset("", nil, loadOptions{procs: 128}); err == nil {
+	if _, _, err := loadDataset("", nil, loadOptions{procs: 128}); err == nil {
 		t.Fatal("no input accepted")
 	}
 	csv := writeFile(t, "d.csv", "name,x\na,1\nb,2\nc,3\n")
-	if _, err := loadDataset(csv, []string{"x.swf"}, loadOptions{procs: 128}); err == nil {
+	if _, _, err := loadDataset(csv, []string{"x.swf"}, loadOptions{procs: 128}); err == nil {
 		t.Fatal("both inputs accepted")
 	}
 }

@@ -5,18 +5,16 @@
 //
 // Usage:
 //
-//	hurst [-svgdir DIR] [-jobs N] [-timeout D]
-//	      [-retries N] [-backoff D] [-task-timeout D] [-keep-going=BOOL]
+//	hurst [-svgdir DIR] [-jobs N] [-timeout D] [-keep-going=BOOL]
 //	      [-cache-dir DIR] [-cache-tier memory|disk|tiered]
 //	      FILE.swf...
 //
-// Files are estimated in parallel (-jobs workers, -timeout per file),
-// and the same -jobs budget feeds the per-series estimator fan-out, so
-// total compute parallelism stays bounded; reports print in argument
-// order and — by default (-keep-going=true) —
-// a failing file does not stop the others; -keep-going=false makes the
-// first failure cancel the batch. -retries re-attempts a failing file
-// with deterministic backoff and -task-timeout bounds each attempt.
+// Files are estimated in parallel with -timeout per file. The file
+// fan-out and the per-series estimator fan-out inside each file draw
+// from one -jobs budget, so at most -jobs workers run at once. Reports
+// print in argument order and — by default (-keep-going=true) — a
+// failing file does not stop the others; -keep-going=false makes the
+// first failure cancel the batch.
 // With -svgdir, the three diagnostic plots (pox plot, variance-time
 // plot, periodogram) of each series are written as SVG files.
 //
@@ -41,7 +39,6 @@ import (
 	"strings"
 	"time"
 
-	"coplot/internal/engine"
 	"coplot/internal/obs"
 	"coplot/internal/par"
 	"coplot/internal/selfsim"
@@ -59,10 +56,7 @@ func main() {
 func realMain() int {
 	svgDir := flag.String("svgdir", "", "write diagnostic plots as SVG under this directory")
 	jobs := flag.Int("jobs", 0, "worker budget: files estimated concurrently and estimator workers (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "per-file time limit across all attempts (0 = none)")
-	retries := flag.Int("retries", 0, "retry a failing file up to N more times (0 = fail on first error)")
-	backoff := flag.Duration("backoff", 0, "base delay before the first retry, doubling per retry (0 = engine default)")
-	taskTimeout := flag.Duration("task-timeout", 0, "per-attempt time limit; a timed-out attempt is retried under -retries (0 = none)")
+	timeout := flag.Duration("timeout", 0, "per-file time limit (0 = none)")
 	keepGoing := flag.Bool("keep-going", true, "report failing files and continue; false cancels the batch on first failure")
 	cacheDir := flag.String("cache-dir", "", "durable report cache directory; a file's rendered report is reused across invocations")
 	cacheTier := flag.String("cache-tier", "", "cache backend: memory, disk, or tiered (empty = tiered when -cache-dir is set, memory otherwise)")
@@ -105,8 +99,7 @@ func realMain() int {
 		}
 	}
 	reports := estimateAll(flag.Args(), *svgDir, estimateOptions{
-		jobs: *jobs, timeout: *timeout, attemptTimeout: *taskTimeout,
-		retries: *retries, backoff: *backoff, keepGoing: *keepGoing,
+		timeout: *timeout, keepGoing: *keepGoing,
 		sink:  obs.Multi(sinks...),
 		cache: cache,
 		// One budget for the whole batch: file workers and the
@@ -140,57 +133,57 @@ type report struct {
 
 // estimateOptions carries the fan-out settings from the flags.
 type estimateOptions struct {
-	jobs           int
-	timeout        time.Duration
-	attemptTimeout time.Duration
-	retries        int
-	backoff        time.Duration
-	keepGoing      bool
-	sink           obs.Sink
-	cache          store.Backend // durable report cache; nil = none
-	budget         *par.Budget   // shared estimator workers, sized by jobs
+	timeout   time.Duration
+	keepGoing bool
+	sink      obs.Sink
+	cache     store.Backend // durable report cache; nil = none
+	budget    *par.Budget   // shared file and estimator workers, sized by -jobs
 }
 
-// estimateAll runs estimate over the files on a bounded worker pool and
-// returns the reports in argument order. Failures surface through the
-// engine — so they are retried under opts.retries and, with
-// opts.keepGoing, degrade instead of cancelling the batch — and come
-// back inside the per-file reports.
+// estimateFile renders one file's report; tests substitute it to
+// observe the fan-out.
+var estimateFile = estimate
+
+// estimateAll estimates the files on the shared budget and returns the
+// reports in argument order, each carrying its own failure. With
+// opts.keepGoing a failure leaves the other files running; without it
+// the first failure cancels the batch, and every file that did not fail
+// on its own reports that failure labelled with its path.
 func estimateAll(paths []string, svgDir string, eopts estimateOptions) []report {
-	opts := engine.MapOptions{
-		Workers: eopts.jobs, Timeout: eopts.timeout, AttemptTimeout: eopts.attemptTimeout,
-		KeepGoing: eopts.keepGoing, Sink: eopts.sink,
-		Label: func(i int) string { return paths[i] },
-	}
-	if eopts.retries > 0 {
-		opts.Retry = engine.RetryPolicy{MaxAttempts: eopts.retries + 1, BaseBackoff: eopts.backoff}
-	}
-	itemErrs := make([]error, len(paths)) // index i written only by its worker
-	reports, err := engine.Map(context.Background(), len(paths), opts,
-		func(ctx context.Context, i int) (report, error) {
-			text, err := estimate(ctx, paths[i], svgDir, eopts.cache, eopts.budget)
-			itemErrs[i] = err
-			if err != nil {
-				return report{}, err
+	run := obs.StartFanOut(eopts.sink, min(eopts.budget.Size(), len(paths)))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	reports := make([]report, len(paths)) // index i written only by its worker
+	err := par.ForEach(ctx, eopts.budget, len(paths), func(i int) error {
+		reports[i].err = run.Task(paths[i], func() error {
+			fctx, fcancel := ctx, context.CancelFunc(func() {})
+			if eopts.timeout > 0 {
+				fctx, fcancel = context.WithTimeout(ctx, eopts.timeout)
 			}
-			return report{text: text}, nil
+			defer fcancel()
+			text, err := estimateFile(fctx, paths[i], svgDir, eopts.cache, eopts.budget)
+			if err == nil {
+				err = fctx.Err() // outlasting -timeout fails even if the work finished
+			}
+			reports[i].text = text
+			return err
 		})
-	if err != nil {
-		// Degraded (or cancelled) batch: fill each missing report with
-		// its own failure, falling back to the batch error.
-		out := make([]report, len(paths))
-		for i := range out {
-			switch {
-			case reports != nil && itemErrs[i] == nil:
-				out[i] = reports[i]
-			case itemErrs[i] != nil:
-				out[i] = report{err: itemErrs[i]}
-			default:
-				out[i] = report{err: err}
-			}
+		if reports[i].err != nil && !eopts.keepGoing {
+			cancel()
+			return fmt.Errorf("%s: %w", paths[i], reports[i].err)
 		}
-		return out
+		return nil
+	})
+	var failed []string
+	for i := range reports {
+		switch {
+		case err != nil && reports[i].err == nil:
+			reports[i] = report{err: err}
+		case eopts.keepGoing && reports[i].err != nil:
+			failed = append(failed, paths[i])
+		}
 	}
+	run.Finish(failed)
 	return reports
 }
 

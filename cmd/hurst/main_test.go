@@ -63,7 +63,7 @@ func TestEstimateMissingFile(t *testing.T) {
 func TestEstimateAllContinuesPastErrors(t *testing.T) {
 	good := writeTestLog(t)
 	missing := filepath.Join(t.TempDir(), "none.swf")
-	reports := estimateAll([]string{good, missing, good}, "", estimateOptions{jobs: 2, keepGoing: true})
+	reports := estimateAll([]string{good, missing, good}, "", estimateOptions{keepGoing: true, budget: par.NewBudget(2)})
 	if len(reports) != 3 {
 		t.Fatalf("reports = %d", len(reports))
 	}
@@ -80,8 +80,8 @@ func TestEstimateAllContinuesPastErrors(t *testing.T) {
 
 func TestEstimateAllParallelDeterministic(t *testing.T) {
 	paths := []string{writeTestLog(t), writeTestLog(t), writeTestLog(t)}
-	serial := estimateAll(paths, "", estimateOptions{jobs: 1, keepGoing: true})
-	parallel := estimateAll(paths, "", estimateOptions{jobs: 4, keepGoing: true})
+	serial := estimateAll(paths, "", estimateOptions{keepGoing: true, budget: par.NewBudget(1)})
+	parallel := estimateAll(paths, "", estimateOptions{keepGoing: true, budget: par.NewBudget(4)})
 	for i := range serial {
 		if serial[i].text != parallel[i].text {
 			t.Fatalf("report %d differs between jobs=1 and jobs=4", i)

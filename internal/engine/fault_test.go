@@ -1,6 +1,6 @@
 package engine_test
 
-// Fault-tolerance suite: drives the runner and Map through every
+// Fault-tolerance suite: drives the runner through every
 // retry/give-up/degradation path with the deterministic faultinject
 // harness, and pins the regression that a sibling's cancellation ripple
 // must never mask the genuine first error.
@@ -8,7 +8,6 @@ package engine_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -282,70 +281,6 @@ func TestRunSiblingFailureKeepsTaskLabel(t *testing.T) {
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Fatalf("cancellation ripple masked the root error: %v", err)
-	}
-}
-
-func TestMapSiblingFailureKeepsItemLabel(t *testing.T) {
-	// Regression (the ISSUE's satellite fix): item 3 fails while items
-	// 0-2 are slow successes that observe the cancellation; Map used to
-	// report bare context.Canceled from the lowest cancelled index.
-	boom := errors.New("boom")
-	started := make(chan struct{})
-	_, err := engine.Map(context.Background(), 4, engine.MapOptions{
-		Workers: 4,
-		Label:   func(i int) string { return fmt.Sprintf("item-%d", i) },
-	}, func(ctx context.Context, i int) (int, error) {
-		if i == 3 {
-			<-started
-			return 0, boom
-		}
-		if i == 0 {
-			close(started)
-		}
-		<-ctx.Done()
-		return i, nil // swallows cancel
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if !strings.Contains(err.Error(), "item-3") {
-		t.Fatalf("error lost its item label: %v", err)
-	}
-	if errors.Is(err, context.Canceled) {
-		t.Fatalf("cancellation ripple masked the root error: %v", err)
-	}
-}
-
-func TestMapRetriesAndKeepGoing(t *testing.T) {
-	sched := faultinject.New(
-		faultinject.Fault{Target: "item-1", Times: 1},
-		faultinject.Fault{Target: "item-2", Times: 99},
-	)
-	out, err := engine.Map(context.Background(), 4, engine.MapOptions{
-		Workers:   2,
-		KeepGoing: true,
-		Retry:     engine.RetryPolicy{MaxAttempts: 2, Sleep: instant},
-		Label:     func(i int) string { return fmt.Sprintf("item-%d", i) },
-	}, func(ctx context.Context, i int) (int, error) {
-		if err := sched.Fire(ctx, fmt.Sprintf("item-%d", i)); err != nil {
-			return 0, err
-		}
-		return i * 10, nil
-	})
-	var deg *engine.DegradedError
-	if !errors.As(err, &deg) {
-		t.Fatalf("err = %T %v, want *DegradedError", err, err)
-	}
-	if len(deg.Failed) != 1 || deg.Failed[0] != "item-2" {
-		t.Fatalf("failed = %v", deg.Failed)
-	}
-	// item-1 recovered via retry; item-2 exhausted its budget; the rest
-	// completed despite the failure.
-	want := []int{0, 10, 0, 30}
-	for i, v := range want {
-		if out[i] != v {
-			t.Fatalf("out = %v, want %v", out, want)
-		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -156,51 +155,5 @@ func TestManifestDeterministicAcrossSerialRuns(t *testing.T) {
 	first, second := manifest(), manifest()
 	if first != second {
 		t.Fatalf("serial manifests differ after Stable():\n%s\nvs\n%s", first, second)
-	}
-}
-
-func TestMapEmitsEvents(t *testing.T) {
-	rec := &recorder{}
-	paths := []string{"a.swf", "b.swf", "c.swf"}
-	opts := MapOptions{Workers: 2, Sink: rec, Label: func(i int) string { return paths[i] }}
-	_, err := Map(context.Background(), len(paths), opts, func(ctx context.Context, i int) (int, error) {
-		return i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := rec.byKind()
-	if len(kinds[obs.KindTaskStart]) != 3 || len(kinds[obs.KindTaskFinish]) != 3 {
-		t.Fatalf("task events = %d/%d", len(kinds[obs.KindTaskStart]), len(kinds[obs.KindTaskFinish]))
-	}
-	seen := map[string]bool{}
-	for _, e := range kinds[obs.KindTaskFinish] {
-		seen[e.Name] = true
-	}
-	for _, p := range paths {
-		if !seen[p] {
-			t.Fatalf("no finish event for %s (have %v)", p, seen)
-		}
-	}
-	if len(kinds[obs.KindPoolSample]) != 6 {
-		t.Fatalf("pool samples = %d, want 6", len(kinds[obs.KindPoolSample]))
-	}
-}
-
-func TestMapDefaultLabels(t *testing.T) {
-	rec := &recorder{}
-	_, err := Map(context.Background(), 2, MapOptions{Workers: 1, Sink: rec},
-		func(ctx context.Context, i int) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, e := range rec.byKind()[obs.KindTaskStart] {
-		seen[e.Name] = true
-	}
-	for i := 0; i < 2; i++ {
-		if !seen[fmt.Sprintf("#%d", i)] {
-			t.Fatalf("default label #%d missing (have %v)", i, seen)
-		}
 	}
 }

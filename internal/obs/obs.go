@@ -21,7 +21,7 @@ import "time"
 type Kind string
 
 // Event kinds emitted by the engine. "task" covers both DAG experiments
-// (engine.Run) and per-item fan-out work (engine.Map).
+// (engine.Run) and the CLIs' per-file fan-out items (FanOut).
 const (
 	// KindRunStart opens a run; Capacity holds the worker-pool size.
 	KindRunStart Kind = "run.start"

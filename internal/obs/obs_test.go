@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -59,4 +61,43 @@ func TestMultiFansOutAndCollapses(t *testing.T) {
 
 func TestDiscardDropsEvents(t *testing.T) {
 	Discard.Event(Event{Kind: KindRunFinish}) // must not panic
+}
+
+func TestFanOutEventSequence(t *testing.T) {
+	c := &collector{}
+	run := StartFanOut(c, 2)
+	if err := run.Task("b.swf", func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	if err := run.Task("a.swf", func() error { return boom }); err != boom {
+		t.Fatalf("Task err = %v, want boom", err)
+	}
+	run.Finish([]string{"c.swf", "a.swf"})
+
+	want := []Event{
+		{Kind: KindRunStart, Capacity: 2},
+		{Kind: KindTaskStart, Name: "b.swf"},
+		{Kind: KindTaskFinish, Name: "b.swf"},
+		{Kind: KindTaskStart, Name: "a.swf"},
+		{Kind: KindTaskFinish, Name: "a.swf", Err: "boom"},
+		{Kind: KindRunDegraded, Failed: 2, Err: "failed: a.swf, c.swf"},
+		{Kind: KindRunFinish},
+	}
+	if len(c.events) != len(want) {
+		t.Fatalf("events = %+v", c.events)
+	}
+	for i, e := range c.events {
+		e.Time, e.Elapsed = time.Time{}, 0
+		if !reflect.DeepEqual(e, want[i]) {
+			t.Fatalf("event %d = %+v, want %+v", i, e, want[i])
+		}
+	}
+
+	// A clean (or fail-fast) finish emits no run.degraded.
+	c = &collector{}
+	StartFanOut(c, 1).Finish(nil)
+	if k := c.kinds(); k[KindRunDegraded] != 0 || k[KindRunStart] != 1 || k[KindRunFinish] != 1 {
+		t.Fatalf("kinds = %v", k)
+	}
 }
