@@ -60,7 +60,7 @@ func EigenSymInPlace(w *Matrix) (values []float64, vectors *Matrix, err error) {
 			}
 		}
 	}
-	return nil, nil, fmt.Errorf("mat: EigenSym did not converge in %d sweeps", 100)
+	return nil, nil, fmt.Errorf("mat: EigenSym did not converge in %d sweeps", maxSweeps)
 }
 
 // rotate applies the Jacobi rotation G(p,q,θ) to w (two-sided) and

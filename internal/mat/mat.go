@@ -1,11 +1,16 @@
-// Package mat implements the small dense linear-algebra kernel required by
+// Package mat implements the dense linear-algebra kernel required by
 // the Co-plot pipeline: row-major matrices, symmetric eigendecomposition
-// (cyclic Jacobi), pivoted Gaussian elimination, and the double-centering
-// operator used by classical multidimensional scaling.
+// (cyclic Jacobi), the top-k eigenpairs of a symmetric matrix (Lanczos
+// with full reorthogonalization, TopEigenSym), pivoted Gaussian
+// elimination, and the double-centering operator used by classical
+// multidimensional scaling.
 //
-// The matrices in this repository are tiny (tens of rows), so the
-// implementations favor clarity and numerical robustness over blocking or
-// vectorization.
+// The paper's maps have tens of rows, but corpus and scale-tier maps
+// have hundreds to a thousand, so classical scaling asks TopEigenSym for
+// its two leading eigenpairs: O(n²) per Lanczos step instead of O(n³)
+// per Jacobi sweep. Jacobi still serves small matrices and the
+// tridiagonal Ritz problems inside Lanczos. The implementations favor
+// clarity and numerical robustness over blocking or vectorization.
 package mat
 
 import (

@@ -3,6 +3,7 @@ package mds
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"coplot/internal/mat"
@@ -81,6 +82,29 @@ func TestSSAZeroDissimilaritiesRejected(t *testing.T) {
 	var deg *DegenerateInputError
 	if !errors.As(err, &deg) {
 		t.Fatalf("err = %v, want *DegenerateInputError", err)
+	}
+}
+
+// Regression test: NaN and ±Inf pass every comparison the input
+// check made (NaN < 0 and |Inf − Inf| > 1e-9 are both false), so SSA
+// used to return a NaN Alienation without an error and Classical spun
+// through its whole eigensolver before failing. Both must refuse the
+// matrix up front and name the cell, whichever triangle holds it.
+func TestNonFiniteDissimilaritiesRejected(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, sym := range []bool{true, false} {
+			d := testCityBlockDissim(t, 40, 3)
+			d.Set(17, 3, v)
+			if sym {
+				d.Set(3, 17, v)
+			}
+			if _, err := SSA(d, Options{Seed: 1}); err == nil || !strings.Contains(err.Error(), "(3,17)") {
+				t.Errorf("SSA, %v at (17,3), symmetric %v: err = %v, want one naming (3,17)", v, sym, err)
+			}
+			if _, err := Classical(d, 2); err == nil || !strings.Contains(err.Error(), "(3,17)") {
+				t.Errorf("Classical, %v at (17,3), symmetric %v: err = %v, want one naming (3,17)", v, sym, err)
+			}
+		}
 	}
 }
 

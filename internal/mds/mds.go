@@ -207,9 +207,8 @@ func Classical(d *mat.Matrix, dims int) (*mat.Matrix, error) {
 		return nil, err
 	}
 	n := d.Rows
-	// One n×n temporary carries the squared dissimilarities, their
-	// double-centering, the Jacobi rotations and finally the sorted
-	// eigenvectors: Classical owns it, so every step works in place.
+	// One n×n temporary carries the squared dissimilarities and their
+	// double-centering B; only B's top dims eigenpairs are needed.
 	b := mat.New(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -218,13 +217,12 @@ func Classical(d *mat.Matrix, dims int) (*mat.Matrix, error) {
 		}
 	}
 	mat.DoubleCenterInPlace(b)
-	vals, vecs, err := mat.EigenSymInPlace(b)
+	vals, vecs, err := mat.TopEigenSym(b, dims)
 	if err != nil {
 		return nil, err
 	}
 	x := mat.New(n, dims)
-	for k := 0; k < dims && k < n; k++ {
-		lambda := vals[k]
+	for k, lambda := range vals {
 		if lambda < 0 {
 			lambda = 0
 		}
@@ -294,8 +292,8 @@ func ssaMulti(ctx context.Context, d *mat.Matrix, diss []pair, opts Options) (Re
 
 	// Draw every random restart up front from one serial RNG stream, so
 	// the fan-out below is free to run them in any order. Start 0 (the
-	// Torgerson or warm seed) depends on no RNG state, so its O(n³)
-	// Jacobi solve runs inside the fan-out, overlapping the restarts.
+	// Torgerson or warm seed) depends on no RNG state, so its
+	// eigensolve runs inside the fan-out, overlapping the restarts.
 	r := rng.New(opts.Seed ^ 0x535341) // "SSA"
 	restarts := make([]*mat.Matrix, opts.Restarts)
 	for k := range restarts {
@@ -732,6 +730,11 @@ func checkDissim(d *mat.Matrix) error {
 			return fmt.Errorf("mds: non-zero diagonal at %d", i)
 		}
 		for j := i + 1; j < d.Cols; j++ {
+			// NaN and ±Inf would pass every comparison below; x−x is NaN
+			// exactly when x is one of them.
+			if v, w := d.At(i, j), d.At(j, i); math.IsNaN(v-v) || math.IsNaN(w-w) {
+				return fmt.Errorf("mds: non-finite dissimilarity at (%d,%d)", i, j)
+			}
 			if d.At(i, j) < 0 {
 				return fmt.Errorf("mds: negative dissimilarity at (%d,%d)", i, j)
 			}
